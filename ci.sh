@@ -20,6 +20,19 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+# The finalize oracle compares every staged block with the reference
+# `validate_and_commit`; `Peer::finalize` runs the same check only under
+# debug_assertions, so run it in an optimised build as well.
+echo "==> finalize oracle (release)"
+cargo test -q --release -p fabriccrdt --test finalize_oracle
+
+# perfbench is a cargo workspace of its own over crates/*: build it and
+# run its unit tests so an API change in crates/* cannot silently break
+# the benchmark.
+echo "==> perfbench build + unit tests (release)"
+cargo build --release --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+cargo test -q --release --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 # Smoke-run the experiment binaries with tiny configs: they assert
 # their own invariants (convergence, byte-identical ledgers, failover
 # recovery), so a panic here fails the gate.

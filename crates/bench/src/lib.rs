@@ -46,72 +46,75 @@ impl Default for HarnessOptions {
     }
 }
 
+/// Flags shared by the figure binaries, for usage messages.
+pub const USAGE: &str =
+    "[--txs N] [--seed S] [--csv PATH] [--rate TPS] [--block-cut N] [--keys N] [--help]";
+
+/// Parses the value following flag `args[i]`, or names what it needs.
+fn flag_value<T: std::str::FromStr>(args: &[String], i: usize, needs: &str) -> Result<T, String> {
+    args.get(i + 1)
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{} requires {needs}", args[i]))
+}
+
 impl HarnessOptions {
     /// Parses `--txs N`, `--seed S`, `--csv PATH`, `--rate TPS`,
     /// `--block-cut N` and `--keys N` from the process arguments.
     ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
+    /// `--help` prints the usage and exits with code 0; an unknown or
+    /// malformed argument prints the error and the usage to stderr and
+    /// exits with code 2.
     pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().collect();
+        let bin = args.first().map_or("bench", |path| {
+            path.rsplit(std::path::MAIN_SEPARATOR)
+                .next()
+                .unwrap_or(path)
+        });
+        match Self::parse(args.get(1..).unwrap_or_default()) {
+            Ok(Some(options)) => options,
+            Ok(None) => {
+                println!("usage: {bin} {USAGE}");
+                std::process::exit(0)
+            }
+            Err(error) => {
+                eprintln!("error: {error}\nusage: {bin} {USAGE}");
+                std::process::exit(2)
+            }
+        }
+    }
+
+    /// Parses `args` (without the program name): `Ok(None)` when they
+    /// ask for help.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the unknown or malformed argument.
+    pub fn parse(args: &[String]) -> Result<Option<Self>, String> {
         let mut options = HarnessOptions::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
-                "--txs" => {
-                    options.total_txs = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--txs requires a positive integer");
-                    i += 2;
-                }
-                "--seed" => {
-                    options.seed = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed requires an integer");
-                    i += 2;
-                }
-                "--csv" => {
-                    options.csv =
-                        Some(args.get(i + 1).expect("--csv requires a file path").clone());
-                    i += 2;
-                }
+                "--help" => return Ok(None),
+                "--txs" => options.total_txs = flag_value(args, i, "a positive integer")?,
+                "--seed" => options.seed = flag_value(args, i, "an integer")?,
+                "--csv" => options.csv = Some(flag_value(args, i, "a file path")?),
                 "--rate" => {
-                    let rate: f64 = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--rate requires a positive number (tps)");
-                    assert!(rate > 0.0, "--rate requires a positive number (tps)");
+                    let rate: f64 = flag_value(args, i, "a positive number (tps)")?;
+                    if rate.is_nan() || rate <= 0.0 {
+                        return Err("--rate requires a positive number (tps)".into());
+                    }
                     options.rate_tps = Some(rate);
-                    i += 2;
                 }
                 "--block-cut" => {
-                    options.block_cut = Some(
-                        args.get(i + 1)
-                            .and_then(|v| v.parse().ok())
-                            .expect("--block-cut requires a positive integer"),
-                    );
-                    i += 2;
+                    options.block_cut = Some(flag_value(args, i, "a positive integer")?);
                 }
-                "--keys" => {
-                    options.keys = Some(
-                        args.get(i + 1)
-                            .and_then(|v| v.parse().ok())
-                            .expect("--keys requires a positive integer"),
-                    );
-                    i += 2;
-                }
-                other => {
-                    panic!(
-                        "unknown argument {other:?}; supported: --txs N, --seed S, --csv PATH, \
-                         --rate TPS, --block-cut N, --keys N"
-                    )
-                }
+                "--keys" => options.keys = Some(flag_value(args, i, "a positive integer")?),
+                other => return Err(format!("unknown argument {other:?}")),
             }
+            i += 2;
         }
-        options
+        Ok(Some(options))
     }
 
     /// The base experiment configuration under these options.
@@ -182,6 +185,59 @@ mod tests {
         let o = HarnessOptions::default();
         assert_eq!(o.total_txs, 10_000);
         assert_eq!(o.seed, 42);
+    }
+
+    fn parse(args: &[&str]) -> Result<Option<HarnessOptions>, String> {
+        HarnessOptions::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_reads_every_flag() {
+        let o = parse(&[
+            "--txs",
+            "50",
+            "--seed",
+            "7",
+            "--csv",
+            "out.csv",
+            "--rate",
+            "12.5",
+            "--block-cut",
+            "9",
+            "--keys",
+            "3",
+        ])
+        .unwrap()
+        .unwrap();
+        assert_eq!(
+            o,
+            HarnessOptions {
+                total_txs: 50,
+                seed: 7,
+                csv: Some("out.csv".into()),
+                rate_tps: Some(12.5),
+                block_cut: Some(9),
+                keys: Some(3),
+            }
+        );
+        assert_eq!(parse(&[]).unwrap(), Some(HarnessOptions::default()));
+    }
+
+    #[test]
+    fn parse_reports_help_and_bad_arguments() {
+        assert_eq!(parse(&["--help"]).unwrap(), None);
+        assert_eq!(parse(&["--txs", "5", "--help"]).unwrap(), None);
+        assert_eq!(
+            parse(&["--bogus"]).unwrap_err(),
+            "unknown argument \"--bogus\""
+        );
+        assert_eq!(
+            parse(&["--txs", "many"]).unwrap_err(),
+            "--txs requires a positive integer"
+        );
+        assert!(parse(&["--seed"]).is_err(), "missing value");
+        assert!(parse(&["--rate", "0"]).is_err());
+        assert!(parse(&["--rate", "NaN"]).is_err());
     }
 
     #[test]

@@ -607,7 +607,9 @@ mod tests {
                 "rewrite bytes diverge at tx {i}"
             );
         }
-        assert_eq!(sharded.into_world(), seq_state);
+        let mut committed = seed;
+        sharded.into_overlay().apply_to(&mut committed);
+        assert_eq!(committed, seq_state);
     }
 
     #[test]
@@ -654,7 +656,9 @@ mod tests {
             codes.into_iter().map(|(_, c)| c).collect::<Vec<_>>(),
             block.validation_codes
         );
-        assert_eq!(sharded.into_world(), seq_state);
+        let mut committed = seed;
+        sharded.into_overlay().apply_to(&mut committed);
+        assert_eq!(committed, seq_state);
     }
 
     #[test]

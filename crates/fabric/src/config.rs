@@ -575,8 +575,9 @@ pub struct PipelineConfig {
     /// peer, the run metrics and the per-channel ledger file names.
     pub channel: ChannelId,
     /// Committing-peer validation pipeline. The default,
-    /// [`ValidationPipeline::Sequential`], is byte-for-byte the seed
-    /// commit path; `Parallel { workers }` fans endorsement/signature
+    /// [`ValidationPipeline::Sequential`], runs every stage on the
+    /// calling thread and commits the seed's ledger byte for byte;
+    /// `Parallel { workers }` fans endorsement/signature
     /// checks per transaction and MVCC/merge finalize per conflict
     /// chain over a persistent worker pool with order-preserving joins
     /// — value-identical results, less wall-clock time. Simulated time

@@ -7,11 +7,11 @@
 //! alike — and update the world state with the valid write sets.
 //!
 //! Processing is split into [`Peer::process_block`] (pure computation
-//! against the current state, producing a [`StagedBlock`]) and
-//! [`Peer::commit`] (atomically installing the staged state). The
-//! simulator computes at processing *start*, schedules the commit at
-//! `start + cost`, and endorsements arriving in between correctly observe
-//! the pre-block state.
+//! against the current state, producing a [`StagedBlock`] that carries
+//! the block's write [`Overlay`]) and [`Peer::commit`] (applying that
+//! overlay to the state). The simulator computes at processing *start*,
+//! schedules the commit at `start + cost`, and endorsements arriving in
+//! between correctly observe the pre-block state.
 //!
 //! # Cross-block pipelining and the lockless read path
 //!
@@ -22,8 +22,8 @@
 //! signature checking runs on pool threads *while* N's finalize commits
 //! on the calling thread ([`Peer::finish_block_with_next`] chains the
 //! two). The world state lives behind an `Arc` pointer that
-//! [`Peer::commit`] swaps ([`Peer::state`] is the published epoch), so
-//! the overlapped stage — including the advisory
+//! [`Peer::commit`] updates copy-on-write ([`Peer::state`] is the
+//! published epoch), so the overlapped stage — including the advisory
 //! [`BlockValidator::speculative_read_check`] — reads plain `BTreeMap`
 //! lookups through the pointer and never takes a lock; the
 //! authoritative MVCC recheck at finalize catches any read that raced a
@@ -62,7 +62,7 @@ use crate::metrics::PipelineMetrics;
 use crate::pipeline::{PendingMap, PipelineRunner, ValidationPipeline};
 use crate::policy::EndorsementPolicy;
 use crate::schedule::conflict_chains;
-use crate::state::ShardedState;
+use crate::state::{Overlay, ShardedState};
 use crate::validator::{BlockValidator, ChainOutcome};
 
 /// Host wall-clock spans of the two `process_block` stages, used by
@@ -85,8 +85,8 @@ pub struct StageTimings {
     /// Duplicate detection + endorsement verification (pipeline
     /// fan-out stage): `pre_end - pre_start`.
     pub pre_validate_secs: f64,
-    /// MVCC/merge validation, state commit and re-seal (conflict-chain
-    /// stage): `finalize_end - finalize_start`.
+    /// MVCC/merge validation into the write overlay and re-seal
+    /// (conflict-chain stage): `finalize_end - finalize_start`.
     pub finalize_secs: f64,
     /// Pre-validation span start, seconds since peer construction.
     pub pre_start: f64,
@@ -102,14 +102,15 @@ pub struct StageTimings {
     pub overlap_secs: f64,
 }
 
-/// A fully validated block plus the world state it produces, awaiting
+/// A fully validated block plus the writes it commits, awaiting
 /// [`Peer::commit`].
 #[derive(Debug)]
 pub struct StagedBlock {
     /// The block with validation codes filled in.
     pub block: Block,
-    /// World state after applying the valid write sets.
-    pub new_state: WorldState,
+    /// The valid write sets' effect on the world state: only the keys
+    /// this block writes or deletes (empty for a tampered block).
+    pub overlay: Overlay,
     /// Work performed (drives the cost model).
     pub work: ValidationWork,
     /// Host wall-clock spent per processing stage.
@@ -185,11 +186,12 @@ struct JoinedBlock {
 /// by the simulation (DESIGN.md §1).
 #[derive(Debug)]
 pub struct Peer<V> {
-    /// The committed world state, published as an immutable epoch:
-    /// [`Peer::commit`] swaps the pointer, it never mutates in place,
-    /// so overlapped pre-validation reads the `Arc` without any lock
-    /// and a clone of the pointer stays valid (and byte-stable) for as
-    /// long as a reader holds it.
+    /// The committed world state, published as an epoch behind an
+    /// `Arc`: [`Peer::commit`] applies each block's overlay through
+    /// `Arc::make_mut`, in place when no reader holds the epoch and
+    /// copy-on-write when one does, so overlapped pre-validation reads
+    /// the `Arc` without any lock and a clone of the pointer stays
+    /// valid (and byte-stable) for as long as a reader holds it.
     state: Arc<WorldState>,
     chain: Blockchain,
     history: HistoryDb,
@@ -291,11 +293,11 @@ impl<V: BlockValidator> Peer<V> {
     }
 
     /// Selects the validation pipeline (builder style). The default,
-    /// [`ValidationPipeline::Sequential`], is byte-for-byte the seed
-    /// commit path; `Parallel` is value-identical (see
-    /// `crates/fabric/src/pipeline.rs` for the determinism argument) and
-    /// only changes wall-clock time. Parallel runners spawn their
-    /// persistent worker pool here, once per peer.
+    /// [`ValidationPipeline::Sequential`], runs every stage on the
+    /// calling thread; `Parallel` and `Pipelined` are value-identical
+    /// (see `crates/fabric/src/pipeline.rs` for the determinism
+    /// argument) and only change wall-clock time. Parallel runners
+    /// spawn their persistent worker pool here, once per peer.
     pub fn with_pipeline(mut self, pipeline: ValidationPipeline) -> Self {
         self.set_pipeline(pipeline);
         self
@@ -313,9 +315,8 @@ impl<V: BlockValidator> Peer<V> {
     }
 
     /// The current world state (committed blocks only). This is the
-    /// published read epoch: the returned reference points at an
-    /// immutable `Arc`'d snapshot that [`Peer::commit`] replaces
-    /// wholesale, so reads through it never contend with a commit.
+    /// published read epoch; [`Peer::commit`] needs `&mut self`, so a
+    /// borrow of it never observes a half-applied block.
     pub fn state(&self) -> &WorldState {
         &self.state
     }
@@ -528,9 +529,10 @@ impl<V: BlockValidator> Peer<V> {
     ///
     /// Performs duplicate-id detection, endorsement verification
     /// (signatures really are checked) and the validator stage, all
-    /// against a copy of the state; the result is installed later by
-    /// [`Peer::commit`]. Equivalent to [`Peer::prevalidate`]
-    /// immediately followed by [`Peer::finish_block`].
+    /// against the committed state without changing it; the block's
+    /// writes are applied later by [`Peer::commit`]. Equivalent to
+    /// [`Peer::prevalidate`] immediately followed by
+    /// [`Peer::finish_block`].
     pub fn process_block(&mut self, block: Block) -> StagedBlock {
         let prep = self.prepare_block(block, &HashSet::new(), false);
         self.finish_block(prep)
@@ -745,8 +747,8 @@ impl<V: BlockValidator> Peer<V> {
         }
     }
 
-    /// The finalize half: conflict-chain (or sequential) validation and
-    /// state commit, re-seal, speculation reconciliation and span
+    /// The finalize half: conflict-chain validation into the block's
+    /// write overlay, re-seal, speculation reconciliation and span
     /// accounting.
     fn finalize_joined(&mut self, joined: JoinedBlock) -> StagedBlock {
         let JoinedBlock {
@@ -765,13 +767,13 @@ impl<V: BlockValidator> Peer<V> {
             block.header.data_hash = Block::compute_data_hash(&block.transactions);
             return StagedBlock {
                 block,
-                new_state: (*self.state).clone(),
+                overlay: Overlay::default(),
                 work: ValidationWork::default(),
                 timings: StageTimings::default(),
             };
         }
         let finalize_start = self.offset_of(Instant::now());
-        let (new_state, mut work) = self.finalize(&mut block, transactions, &pre);
+        let (overlay, mut work) = self.finalize(&mut block, transactions, &pre);
         work.sigs_verified = sigs_verified;
 
         // Re-seal when needed. FabricCRDT's Algorithm 1 (line 22) rewrites
@@ -809,7 +811,7 @@ impl<V: BlockValidator> Peer<V> {
 
         StagedBlock {
             block,
-            new_state,
+            overlay,
             work,
             timings: StageTimings {
                 pre_validate_secs: pre_end - pre_start,
@@ -828,43 +830,34 @@ impl<V: BlockValidator> Peer<V> {
         instant.duration_since(self.epoch).as_secs_f64()
     }
 
-    /// The finalize stage: MVCC/merge validation and state commit.
+    /// The finalize stage: MVCC/merge validation, returning the block's
+    /// write overlay.
     ///
-    /// Sequential runners (and blocks whose conflict graph is a single
-    /// chain) take the reference path — the untouched seed
-    /// [`BlockValidator::validate_and_commit`] over a cloned
-    /// `WorldState`. Parallel runners instead bucket the block into
-    /// key-disjoint conflict chains ([`conflict_chains`]), finalize the
-    /// chains concurrently against a [`ShardedState`], and reassemble
-    /// codes, write-value rewrites and work counters in block order —
-    /// value-identical by construction (DESIGN.md §4.10), and asserted
-    /// against a sequential shadow run in debug builds.
+    /// Every block takes one path, whatever the runner: bucket the
+    /// block into key-disjoint conflict chains ([`conflict_chains`]),
+    /// finalize the chains against a [`ShardedState`] over the
+    /// published epoch (concurrently on a pool, inline on a
+    /// `Sequential` runner), and reassemble codes, write-value rewrites
+    /// and work counters in block order. Value-identical to
+    /// [`BlockValidator::validate_and_commit`] by construction
+    /// (DESIGN.md §4.10), which debug builds check on every block with
+    /// a shadow run and `crates/core/tests/finalize_oracle.rs` checks
+    /// in release builds. No state is copied: the overlay holds only
+    /// the keys this block writes.
     fn finalize(
         &self,
         block: &mut Block,
         transactions: Arc<Vec<Transaction>>,
         pre: &[Option<ValidationCode>],
-    ) -> (WorldState, ValidationWork) {
-        let chains = conflict_chains(&transactions, pre);
-        if !self.runner.parallel_finalize() || chains.len() <= 1 {
-            block.transactions =
-                Arc::try_unwrap(transactions).expect("pre-validation released its clones");
-            let mut new_state = (*self.state).clone();
-            let work = self
-                .validator
-                .validate_and_commit(block, &mut new_state, pre);
-            return (new_state, work);
-        }
-
+    ) -> (Overlay, ValidationWork) {
         #[cfg(debug_assertions)]
         let shadow_txs: Vec<Transaction> = transactions.as_ref().clone();
 
         let number = block.header.number;
-        // Borrow the published epoch as the sharded base — zero clones
-        // here; `into_world` below clones (the epoch stays shared with
-        // `self.state` and any overlapped readers).
+        // Borrow the published epoch as the sharded base — zero clones;
+        // `into_overlay` below drops the borrowed pointer again.
         let sharded = Arc::new(ShardedState::from_shared(Arc::clone(&self.state)));
-        let chains = Arc::new(chains);
+        let chains = Arc::new(conflict_chains(&transactions, pre));
         let validator = Arc::clone(&self.validator);
         let job_txs = Arc::clone(&transactions);
         let job_state = Arc::clone(&sharded);
@@ -894,12 +887,12 @@ impl<V: BlockValidator> Peer<V> {
             .map(|code| code.expect("chains partition the undecided transactions"))
             .collect();
         block.transactions = transactions;
-        let new_state = Arc::try_unwrap(sharded)
+        let overlay = Arc::try_unwrap(sharded)
             .expect("pool released its state clones")
-            .into_world();
+            .into_overlay();
 
-        // Debug-build shadow run: the parallel finalize must match the
-        // sequential reference on every block it processes.
+        // Debug-build shadow run: the chain finalize must match the
+        // reference `validate_and_commit` on every block it processes.
         #[cfg(debug_assertions)]
         {
             let mut shadow_block = block.clone();
@@ -909,34 +902,37 @@ impl<V: BlockValidator> Peer<V> {
             let shadow_work =
                 self.validator
                     .validate_and_commit(&mut shadow_block, &mut shadow_state, pre);
+            let mut committed = (*self.state).clone();
+            overlay.clone().apply_to(&mut committed);
             debug_assert_eq!(shadow_block.validation_codes, block.validation_codes);
             debug_assert_eq!(shadow_block.transactions, block.transactions);
-            debug_assert_eq!(shadow_state, new_state);
+            debug_assert_eq!(shadow_state, committed);
             debug_assert_eq!(shadow_work, work);
         }
 
-        (new_state, work)
+        (overlay, work)
     }
 
     /// Installs a staged block: world state, blockchain, duplicate set.
+    ///
+    /// The block's overlay is applied through `Arc::make_mut`: in place
+    /// when no reader holds the published epoch, so the commit touches
+    /// only the keys the block writes; copy-on-write when one does, so
+    /// that reader's snapshot stays byte-stable.
     ///
     /// # Errors
     ///
     /// Returns a [`ChainError`] if the block does not extend this peer's
     /// chain (wrong number or broken hash chain); the peer is unchanged.
     pub fn commit(&mut self, staged: StagedBlock) -> Result<&Block, ChainError> {
-        let StagedBlock {
-            block, new_state, ..
-        } = staged;
+        let StagedBlock { block, overlay, .. } = staged;
         // Record ids before moving the block into the chain.
         let ids: Vec<TxId> = block.transactions.iter().map(|t| t.id).collect();
         self.chain.append(block)?;
         let tip = self.chain.tip().expect("chain nonempty after append");
         self.history.record_block(tip);
         absorb_frontiers(&mut self.merge_frontiers, tip);
-        // Epoch swap: readers holding the old `Arc` keep a consistent
-        // pre-block snapshot; new reads see the committed state.
-        self.state = Arc::new(new_state);
+        overlay.apply_to(Arc::make_mut(&mut self.state));
         self.committed_ids.extend(ids);
         Ok(self.chain.tip().expect("chain nonempty after append"))
     }
@@ -1061,7 +1057,65 @@ mod tests {
         let block = next_block(&p, vec![tx(1, "k", &["org1", "org2"])]);
         let staged = p.process_block(block);
         assert!(p.state().value("k").is_none());
-        assert_eq!(staged.new_state.value("k"), Some(&[1u8][..]));
+        assert_ne!(staged.overlay, Overlay::default());
+        p.commit(staged).unwrap();
+        assert_eq!(p.state().value("k"), Some(&[1u8][..]));
+    }
+
+    /// Processes and commits one block on `p`, returning the state
+    /// pointer before and after.
+    fn commit_one(
+        p: &mut Peer<FabricValidator>,
+        nonce: u64,
+    ) -> (*const WorldState, *const WorldState) {
+        let before = Arc::as_ptr(&p.state);
+        let block = next_block(p, vec![tx(nonce, &format!("k{nonce}"), &["org1", "org2"])]);
+        let staged = p.process_block(block);
+        p.commit(staged).unwrap();
+        (before, Arc::as_ptr(&p.state))
+    }
+
+    #[test]
+    fn commit_applies_the_overlay_in_place() {
+        // With no reader holding the epoch, a commit neither clones nor
+        // replaces the state: the `Arc` keeps its address on every
+        // runner, block after block.
+        for pipeline in [
+            ValidationPipeline::Sequential,
+            ValidationPipeline::parallel(2),
+            ValidationPipeline::pipelined(2),
+        ] {
+            let mut p = peer().with_pipeline(pipeline);
+            for n in 0..100 {
+                p.seed_state(format!("seed{n}"), vec![n as u8]);
+            }
+            for nonce in 1..=5 {
+                let (before, after) = commit_one(&mut p, nonce);
+                assert_eq!(before, after, "{}: state was copied", pipeline.label());
+                assert_eq!(Arc::strong_count(&p.state), 1);
+            }
+            assert_eq!(p.state().len(), 105);
+        }
+    }
+
+    #[test]
+    fn held_epoch_keeps_its_pre_block_bytes() {
+        let mut p = peer();
+        p.seed_state("k1", b"seed".to_vec());
+        let held = Arc::clone(&p.state);
+        let held_bytes = codec::encode_state(&held);
+        let (before, after) = commit_one(&mut p, 1);
+        // Copy-on-write: the reader's epoch is untouched and the peer
+        // moved to a fresh map holding the block's write.
+        assert_eq!(before, Arc::as_ptr(&held));
+        assert_ne!(after, before);
+        assert_eq!(codec::encode_state(&held), held_bytes);
+        assert_eq!(held.value("k1"), Some(&b"seed"[..]));
+        assert_eq!(p.state().value("k1"), Some(&[1u8][..]));
+        // Once the reader lets go, commits are in place again.
+        drop(held);
+        let (before, after) = commit_one(&mut p, 2);
+        assert_eq!(before, after);
     }
 
     #[test]
@@ -1205,7 +1259,7 @@ mod tests {
             staged_par.block.header.data_hash,
             staged_seq.block.header.data_hash
         );
-        assert_eq!(staged_par.new_state, staged_seq.new_state);
+        assert_eq!(staged_par.overlay, staged_seq.overlay);
         assert_eq!(staged_par.work, staged_seq.work);
         seq.commit(staged_seq).unwrap();
         par.commit(staged_par).unwrap();

@@ -14,8 +14,8 @@
 //! [`ValidationPipeline`] is the configuration seam, mirroring the
 //! [`DeliveryLayer`](crate::simulation::DeliveryLayer) /
 //! [`OrderingBackend`](crate::simulation::OrderingBackend) pattern:
-//! the default [`ValidationPipeline::Sequential`] reproduces the seed
-//! commit path instruction-for-instruction, while
+//! the default [`ValidationPipeline::Sequential`] evaluates every
+//! per-item closure on the calling thread, while
 //! [`ValidationPipeline::Parallel`] fans the same per-item closure out
 //! over a persistent [`WorkerPool`] (threads spawned once per peer, not
 //! once per block — the per-block `std::thread::scope` of the first
@@ -195,8 +195,7 @@ impl PipelineRunner {
     /// the hardware can only add context-switch overhead, never
     /// speedup, and results are thread-count-independent by the
     /// determinism argument above — so on a single-core machine
-    /// `Parallel {{ workers: N }}` runs on the calling thread while
-    /// still taking the parallel (conflict-chain) code path.
+    /// `Parallel {{ workers: N }}` runs on the calling thread.
     pub fn new(mode: ValidationPipeline) -> Self {
         let pool = match mode {
             ValidationPipeline::Parallel { workers }
@@ -226,19 +225,6 @@ impl PipelineRunner {
     /// has ≥2 hardware threads).
     pub fn is_parallel(&self) -> bool {
         self.pool.is_some()
-    }
-
-    /// Whether the finalize stage should use the conflict-chain
-    /// schedule. Keyed on the *configuration*, not the spawned pool, so
-    /// the chain-partitioned path (and its byte-identity machinery) is
-    /// exercised even on machines where the pool is clamped to the
-    /// calling thread.
-    pub fn parallel_finalize(&self) -> bool {
-        matches!(
-            self.mode,
-            ValidationPipeline::Parallel { workers } | ValidationPipeline::Pipelined { workers }
-                if workers >= 2
-        )
     }
 
     /// Whether this runner overlaps blocks (see
@@ -456,15 +442,13 @@ mod tests {
             hardware >= 2,
             "a pool is spawned exactly when the machine can run it"
         );
-        assert!(runner.parallel_finalize());
-        assert!(!PipelineRunner::new(ValidationPipeline::parallel(1)).parallel_finalize());
-        assert!(!PipelineRunner::new(ValidationPipeline::Sequential).parallel_finalize());
+        assert!(!PipelineRunner::new(ValidationPipeline::parallel(1)).is_parallel());
+        assert!(!PipelineRunner::new(ValidationPipeline::Sequential).is_parallel());
     }
 
     #[test]
     fn runner_reuses_one_pool_across_batches() {
         let runner = PipelineRunner::new(ValidationPipeline::parallel(4));
-        assert!(runner.parallel_finalize());
         for round in 0..20u64 {
             let items: Vec<u64> = (0..50).collect();
             let got = runner.map_ordered(&Arc::new(items), move |_, x| x + round);
@@ -529,7 +513,6 @@ mod tests {
     fn pipelined_mode_flags() {
         let runner = PipelineRunner::new(ValidationPipeline::pipelined(4));
         assert!(runner.is_pipelined());
-        assert!(runner.parallel_finalize());
         assert!(ValidationPipeline::pipelined(0).effective_workers(10) == 1);
         assert!(!PipelineRunner::new(ValidationPipeline::parallel(4)).is_pipelined());
         assert!(!PipelineRunner::new(ValidationPipeline::Sequential).is_pipelined());

@@ -1,30 +1,27 @@
-//! Key-hash sharded world state for the parallel finalize stage.
+//! Key-hash sharded world state for the finalize stage.
 //!
-//! The sequential commit path owns a single [`WorldState`] `BTreeMap`;
-//! parallel conflict chains instead commit through a [`ShardedState`]:
-//! a copy-on-write overlay over the pre-block state, with the overlay
-//! split into [`SHARDS`] independently locked hash buckets so chains
-//! touching disjoint keys never contend (the key-disjointness insight
-//! of Meir et al., *Lockless Transaction Isolation in Hyperledger
-//! Fabric*). Reads fall through the overlay to the immutable base;
-//! writes and deletes land only in the overlay, so constructing a
-//! `ShardedState` costs one bulk `BTreeMap` clone — the same clone the
-//! sequential path pays — instead of re-inserting every entry into hash
-//! buckets (the first sharded design did exactly that, and its two
-//! full-map rebuilds per block cost ~30% of the finalize stage at small
-//! document sizes). Because the conflict-graph scheduler (see
-//! [`crate::schedule`]) routes every key to exactly one chain, two
-//! threads never race on a key — the per-shard mutexes only arbitrate
-//! *map* structure, and each lock is held for single `put` / `delete` /
-//! `version` calls, never across a wait.
+//! Every block's conflict chains commit through a [`ShardedState`]: a
+//! copy-on-write overlay over the peer's published state epoch, with
+//! the overlay split into [`SHARDS`] independently locked hash buckets
+//! so chains touching disjoint keys never contend (the
+//! key-disjointness insight of Meir et al., *Lockless Transaction
+//! Isolation in Hyperledger Fabric*). Reads fall through the overlay to
+//! the immutable base; writes and deletes land only in the overlay, so
+//! constructing a `ShardedState` over the shared epoch copies nothing.
+//! Because the conflict-graph scheduler (see [`crate::schedule`])
+//! routes every key to exactly one chain, two threads never race on a
+//! key — the per-shard mutexes only arbitrate *map* structure, and each
+//! lock is held for single `put` / `delete` / `version` calls, never
+//! across a wait.
 //!
-//! After the block's chains complete, [`ShardedState::into_world`]
-//! folds the overlay back into the base `BTreeMap`. Each key lives in
-//! exactly one shard, so the fold order across shards is immaterial and
-//! the canonical sorted form — hence the byte encoding
-//! ([`fabriccrdt_ledger::codec`]) — is independent of shard layout and
-//! thread interleaving: part of the determinism argument in DESIGN.md
-//! §4.10.
+//! After the block's chains complete, [`ShardedState::into_overlay`]
+//! drops the base and returns only the block's writes and deletes as an
+//! [`Overlay`], sorted by key. Each key lives in exactly one shard, so
+//! the overlay — and the state it produces when
+//! [`crate::peer::Peer::commit`] applies it — is independent of shard
+//! layout and thread interleaving: part of the determinism argument in
+//! DESIGN.md §4.10. A block therefore costs state work in proportion to
+//! the keys it writes, never to the size of the state.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -41,6 +38,30 @@ pub const SHARDS: usize = 32;
 
 /// An overlay entry: `Some` is a committed write, `None` a delete.
 type OverlayEntry = Option<VersionedValue>;
+
+/// A block's committed writes: key-unique and sorted by key; `Some` is
+/// a write, `None` a delete. Applying it to the pre-block state yields
+/// the post-block state.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Overlay {
+    entries: Vec<(String, OverlayEntry)>,
+}
+
+impl Overlay {
+    /// Applies the writes and deletes to `world` in place.
+    pub fn apply_to(self, world: &mut WorldState) {
+        for (key, entry) in self.entries {
+            match entry {
+                Some(versioned) => {
+                    world.put(key, versioned.value, versioned.version);
+                }
+                None => {
+                    world.delete(&key);
+                }
+            }
+        }
+    }
+}
 
 /// A [`WorldState`] behind a sharded copy-on-write overlay (see module
 /// docs).
@@ -62,13 +83,9 @@ impl ShardedState {
     }
 
     /// Uses an already-shared state epoch as the immutable read base —
-    /// *zero* clones up front. This is the pipelined peer's path: its
-    /// world state lives behind an `Arc` pointer that commits swap
-    /// (see [`crate::peer::Peer`]), so finalize borrows the same epoch
-    /// the lockless pre-validation snapshots point at. The bulk clone
-    /// that [`ShardedState::from_world`] pays on entry moves to
-    /// [`ShardedState::into_world`] (which clones only if the `Arc` is
-    /// still shared); total cost per block is unchanged.
+    /// *zero* clones. This is the peer's path: its world state lives
+    /// behind an `Arc` (see [`crate::peer::Peer`]), so finalize borrows
+    /// the same epoch the lockless pre-validation snapshots point at.
     pub fn from_shared(base: Arc<WorldState>) -> Self {
         ShardedState {
             base,
@@ -76,27 +93,17 @@ impl ShardedState {
         }
     }
 
-    /// Folds the overlay into the base, returning the canonical sorted
-    /// form. Only keys the block actually wrote are touched, and each
-    /// key lives in exactly one shard, so the result — and hence
-    /// [`fabriccrdt_ledger::codec::encode_state`] — is independent of
-    /// shard layout.
-    pub fn into_world(self) -> WorldState {
-        let mut world = Arc::try_unwrap(self.base).unwrap_or_else(|shared| (*shared).clone());
-        for shard in self.shards {
-            let entries = shard.into_inner().expect("state shard poisoned");
-            for (key, entry) in entries {
-                match entry {
-                    Some(versioned) => {
-                        world.put(key, versioned.value, versioned.version);
-                    }
-                    None => {
-                        world.delete(&key);
-                    }
-                }
-            }
-        }
-        world
+    /// Drops the base and returns the block's writes and deletes in
+    /// canonical (sorted) order. Each key lives in exactly one shard, so
+    /// the result is independent of shard layout.
+    pub fn into_overlay(self) -> Overlay {
+        let mut entries: Vec<(String, OverlayEntry)> = self
+            .shards
+            .into_iter()
+            .flat_map(|shard| shard.into_inner().expect("state shard poisoned"))
+            .collect();
+        entries.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        Overlay { entries }
     }
 
     /// Total number of live entries (base entries plus overlay inserts,
@@ -164,35 +171,70 @@ mod tests {
         world
     }
 
+    /// `world` with `sharded`'s overlay applied — what a commit installs.
+    fn committed(world: &WorldState, sharded: ShardedState) -> WorldState {
+        let mut world = world.clone();
+        sharded.into_overlay().apply_to(&mut world);
+        world
+    }
+
     #[test]
-    fn roundtrip_is_byte_identical() {
+    fn untouched_state_yields_an_empty_overlay() {
         let world = seeded_world(100);
-        let rebuilt = ShardedState::from_world(&world).into_world();
-        assert_eq!(rebuilt, world);
+        let overlay = ShardedState::from_world(&world).into_overlay();
+        assert_eq!(overlay, Overlay::default());
+        let mut rebuilt = world.clone();
+        overlay.apply_to(&mut rebuilt);
         assert_eq!(codec::encode_state(&rebuilt), codec::encode_state(&world));
     }
 
     #[test]
-    fn shared_base_roundtrips_without_disturbing_the_epoch() {
+    fn overlay_releases_the_shared_epoch_untouched() {
         let epoch = Arc::new(seeded_world(50));
         let sharded = ShardedState::from_shared(epoch.clone());
         sharded.put("key-3".into(), b"updated".to_vec(), Height::new(2, 0));
         sharded.delete("key-7");
-        let world = sharded.into_world();
-        // The caller's epoch pointer still sees the pre-block state...
+        let overlay = sharded.into_overlay();
+        // The base `Arc` is dropped, not cloned, and still holds the
+        // pre-block state...
+        assert_eq!(Arc::strong_count(&epoch), 1);
         assert_eq!(epoch.version("key-3"), Some(Height::new(1, 3)));
         assert_eq!(epoch.len(), 50);
-        // ...while the folded result matches the from_world path.
-        let reference = ShardedState::from_world(&epoch);
-        reference.put("key-3".into(), b"updated".to_vec(), Height::new(2, 0));
-        reference.delete("key-7");
-        assert_eq!(world, reference.into_world());
+        // ...while the overlay carries exactly the block's two keys.
+        let updated = VersionedValue {
+            value: b"updated".to_vec(),
+            version: Height::new(2, 0),
+        };
+        assert_eq!(
+            overlay.entries,
+            [
+                ("key-3".to_string(), Some(updated)),
+                ("key-7".to_string(), None)
+            ]
+        );
+        let mut world = Arc::try_unwrap(epoch).unwrap();
+        overlay.apply_to(&mut world);
         assert_eq!(world.len(), 49);
+        assert_eq!(world.value("key-3"), Some(&b"updated"[..]));
+    }
+
+    #[test]
+    fn overlay_is_key_unique_and_sorted() {
+        let sharded = ShardedState::from_world(&WorldState::new());
+        for key in ["zeta", "alpha", "mid", "alpha"] {
+            sharded.put(key.into(), key.as_bytes().to_vec(), Height::new(2, 0));
+        }
+        sharded.delete("mid");
+        let overlay = sharded.into_overlay();
+        let keys: Vec<&str> = overlay.entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["alpha", "mid", "zeta"]);
+        assert_eq!(overlay.entries[1].1, None, "the last operation wins");
     }
 
     #[test]
     fn chain_state_operations_mirror_world_state() {
-        let sharded = ShardedState::from_world(&seeded_world(10));
+        let base = seeded_world(10);
+        let sharded = ShardedState::from_world(&base);
         assert_eq!(sharded.len(), 10);
         assert_eq!(sharded.version("key-3"), Some(Height::new(1, 3)));
         assert_eq!(sharded.version("missing"), None);
@@ -205,7 +247,7 @@ mod tests {
         expect.put("key-3".into(), b"updated".to_vec(), Height::new(2, 0));
         expect.put("fresh".into(), b"new".to_vec(), Height::new(2, 1));
         expect.delete("key-7");
-        assert_eq!(sharded.into_world(), expect);
+        assert_eq!(committed(&base, sharded), expect);
     }
 
     #[test]
@@ -223,12 +265,12 @@ mod tests {
     fn empty_world_roundtrips() {
         let sharded = ShardedState::from_world(&WorldState::new());
         assert!(sharded.is_empty());
-        assert!(sharded.into_world().is_empty());
+        assert!(committed(&WorldState::new(), sharded).is_empty());
     }
 
     #[test]
     fn concurrent_disjoint_writes_land() {
-        let sharded = std::sync::Arc::new(ShardedState::from_world(&WorldState::new()));
+        let sharded = Arc::new(ShardedState::from_world(&WorldState::new()));
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let sharded = sharded.clone();
@@ -243,7 +285,8 @@ mod tests {
                 });
             }
         });
-        let world = std::sync::Arc::try_unwrap(sharded).unwrap().into_world();
+        let sharded = Arc::try_unwrap(sharded).unwrap();
+        let world = committed(&WorldState::new(), sharded);
         assert_eq!(world.len(), 200);
         assert_eq!(world.value("t2-k49"), Some(&[2u8, 49][..]));
     }

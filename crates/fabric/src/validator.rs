@@ -233,7 +233,9 @@ mod tests {
             outcome.codes.iter().map(|(_, c)| *c).collect::<Vec<_>>(),
             block.validation_codes
         );
-        assert_eq!(sharded.into_world(), seq_state);
+        let mut committed = seed;
+        sharded.into_overlay().apply_to(&mut committed);
+        assert_eq!(committed, seq_state);
     }
 
     #[test]
